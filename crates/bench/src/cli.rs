@@ -278,12 +278,13 @@ fn fault_model_or_default<'a>(flags: &'a Flags, allowed: &[&'a str]) -> Result<&
 }
 
 /// Resolve `--engine`: `scalar` (the differential-oracle path) or
-/// `sliced` (the 64-lane bit-parallel fast path). `default_sliced` is
-/// what an absent flag means: the campaign/system/diag/fleet
-/// subcommands default to `sliced` (strictly faster there — ROADMAP
-/// item 1), while the exhaustive explore keeps the scalar default its
-/// adjudicated gate path is pinned against. Byte-pinned fixtures pass
-/// `--engine scalar` explicitly.
+/// `sliced` (the bit-parallel fast path, up to 512 scenarios per
+/// multi-word lane slab). `default_sliced` is what an absent flag
+/// means: the campaign/system/diag/fleet subcommands default to
+/// `sliced`, while the exhaustive explore keeps the scalar default its
+/// adjudicated gate path is pinned against. The two engines are
+/// distinct Monte-Carlo estimators (per-fault vs shared trial streams),
+/// so byte-pinned fixtures pass `--engine scalar` explicitly.
 fn engine_choice(flags: &Flags, default_sliced: bool) -> Result<bool, String> {
     match flags.value_of("--engine") {
         None => Ok(default_sliced),

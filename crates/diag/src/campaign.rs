@@ -10,16 +10,17 @@
 //!
 //! Determinism contract (the house rule): each session is a pure
 //! function of `(dictionary, site, budget, mission config, prefill
-//! seed)`; the universe is mapped in input order over a rayon pool, so
-//! results are **bit-identical at every thread count**. The `scm diag`
-//! fixture pins the rendered output byte-for-byte at 1/2/4/8 threads.
+//! seed)`; the universe is mapped in input order on the shared grid
+//! runner (`scm_memory::grid`), so results are **bit-identical at every
+//! thread count**. The `scm diag` fixture pins the rendered output
+//! byte-for-byte at 1/2/4/8 threads.
 
 use crate::dictionary::FaultDictionary;
 use crate::repair::SpareBudget;
 use crate::session::{run_session, SessionOutcome};
-use rayon::prelude::*;
 use scm_memory::campaign::CampaignConfig;
 use scm_memory::fault::FaultSite;
+use scm_memory::grid;
 use std::collections::BTreeMap;
 
 /// The parallel session runner.
@@ -52,29 +53,15 @@ impl DiagnosisCampaign {
     /// Run every site of the universe through the session pipeline,
     /// input order preserved.
     pub fn run(&self, dictionary: &FaultDictionary, universe: &[FaultSite]) -> Vec<SessionOutcome> {
-        let dispatch = || -> Vec<SessionOutcome> {
-            universe
-                .par_iter()
-                .map(|&site| {
-                    run_session(
-                        dictionary,
-                        site,
-                        self.budget,
-                        self.mission,
-                        self.prefill_seed,
-                    )
-                })
-                .collect()
-        };
-        if self.threads == 0 {
-            dispatch()
-        } else {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(self.threads)
-                .build()
-                .expect("thread pool construction is infallible")
-                .install(dispatch)
-        }
+        grid::dispatch(universe, self.threads, false, |&site| {
+            run_session(
+                dictionary,
+                site,
+                self.budget,
+                self.mission,
+                self.prefill_seed,
+            )
+        })
     }
 }
 

@@ -37,11 +37,12 @@ use crate::march::{
     materialize_session, run_march, run_march_sliced_ops, MarchLog, MarchSessionOp, MarchTest,
     SyndromeEvent,
 };
-use rayon::prelude::*;
 use scm_memory::backend::{BehavioralBackend, FaultSimBackend};
 use scm_memory::design::RamConfig;
 use scm_memory::fault::{FaultScenario, FaultSite};
-use scm_memory::sliced::{slab_words, SlicedBackend, MAX_SLAB_LANES};
+use scm_memory::grid;
+use scm_memory::sliced::{SlicedBackend, MAX_SLAB_LANES};
+use scm_memory::with_slab_words;
 use std::collections::BTreeMap;
 
 /// A session signature: the full (possibly capped) syndrome-event
@@ -136,16 +137,7 @@ impl FaultDictionary {
             let log = run_march(&mut backend, test, seed);
             (log.events, log.truncated)
         };
-        let dispatch = || -> Vec<Signature> { candidates.par_iter().map(simulate).collect() };
-        let signatures: Vec<Signature> = if threads == 0 {
-            dispatch()
-        } else {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("thread pool construction is infallible")
-                .install(dispatch)
-        };
+        let signatures = grid::dispatch(candidates, threads, false, simulate);
         Self::file(config, test, seed, candidates, signatures)
     }
 
@@ -190,29 +182,12 @@ impl FaultDictionary {
                 .map(|log| (log.events, log.truncated))
                 .collect()
         }
-        let simulate = |chunk: &&[FaultSite]| -> Vec<Signature> {
-            match slab_words(chunk.len()) {
-                1 => simulate_chunk::<1>(config, chunk, &session),
-                2 => simulate_chunk::<2>(config, chunk, &session),
-                3 => simulate_chunk::<3>(config, chunk, &session),
-                4 => simulate_chunk::<4>(config, chunk, &session),
-                5 => simulate_chunk::<5>(config, chunk, &session),
-                6 => simulate_chunk::<6>(config, chunk, &session),
-                7 => simulate_chunk::<7>(config, chunk, &session),
-                8 => simulate_chunk::<8>(config, chunk, &session),
-                w => unreachable!("slab_words returned {w}"),
-            }
-        };
-        let dispatch = || -> Vec<Vec<Signature>> { chunks.par_iter().map(simulate).collect() };
-        let per_chunk: Vec<Vec<Signature>> = if threads == 0 {
-            dispatch()
-        } else {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("thread pool construction is infallible")
-                .install(dispatch)
-        };
+        let per_chunk = grid::dispatch(
+            &chunks,
+            threads,
+            false,
+            |chunk| with_slab_words!(chunk.len(), W => simulate_chunk::<W>(config, chunk, &session)),
+        );
         let signatures: Vec<Signature> = per_chunk.into_iter().flatten().collect();
         Self::file(config, test, seed, candidates, signatures)
     }

@@ -38,10 +38,10 @@
 use crate::device::simulate_device;
 use crate::spec::FleetSpec;
 use crate::telemetry::CohortTelemetry;
-use rayon::prelude::*;
 use scm_diag::{cell_universe, FaultDictionary};
 use scm_memory::campaign::decoder_fault_universe;
 use scm_memory::fault::FaultSite;
+use scm_memory::grid;
 use scm_obs::{Event, EventKind};
 use scm_system::seed_mix;
 use std::fmt::Write as _;
@@ -254,15 +254,6 @@ impl FleetDriver {
         &self.events
     }
 
-    /// Worker threads the driver will actually use.
-    pub fn resolved_threads(&self) -> usize {
-        if self.options.threads == 0 {
-            rayon::current_num_threads()
-        } else {
-            self.options.threads
-        }
-    }
-
     /// One chunk's telemetry: its devices in index order, inline.
     fn chunk_telemetry(&self, chunk: Chunk) -> CohortTelemetry {
         let cohort = &self.spec.cohorts[chunk.cohort];
@@ -304,25 +295,13 @@ impl FleetDriver {
 
     /// Drive the remaining chunks to completion (or to the halt point).
     pub fn run(&mut self) -> Result<FleetProgress, String> {
-        let wave_len = (self.resolved_threads() * 4).max(1);
-        let pool = (self.options.threads > 0)
-            .then(|| {
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(self.options.threads)
-                    .build()
-                    .expect("thread pool construction is infallible")
-            })
-            .map(Arc::new);
+        let wave_len = (grid::resolved_threads(self.options.threads) * 4).max(1);
         while self.next_chunk < self.chunks.len() {
             let end = self.wave_end(wave_len);
             let wave: Vec<Chunk> = self.chunks[self.next_chunk..end].to_vec();
-            let work = || -> Vec<CohortTelemetry> {
-                wave.par_iter().map(|&c| self.chunk_telemetry(c)).collect()
-            };
-            let partials = match &pool {
-                Some(pool) => pool.install(work),
-                None => work(),
-            };
+            let partials = grid::dispatch(&wave, self.options.threads, false, |&c| {
+                self.chunk_telemetry(c)
+            });
             // Merge in canonical chunk order — the only order-sensitive
             // step, kept on the driver thread.
             for (chunk, partial) in wave.iter().zip(&partials) {
@@ -423,18 +402,42 @@ impl FleetDriver {
     }
 
     /// Restore cursor + accumulators from checkpoint text, refusing any
-    /// identity mismatch.
+    /// identity mismatch and any incomplete or inconsistent file: every
+    /// key must appear exactly once, the `end` marker must close the
+    /// file, and `devices_done` must count exactly the devices of the
+    /// chunks before `next_chunk`. Nothing is restored unless the whole
+    /// file checks out.
     fn load_checkpoint(&mut self, text: &str) -> Result<(), String> {
+        const KEYS: [&str; 6] = [
+            "spec_digest",
+            "seed",
+            "engine",
+            "chunk_devices",
+            "next_chunk",
+            "devices_done",
+        ];
         let mut lines = text.lines();
         if lines.next() != Some(CHECKPOINT_HEADER) {
             return Err(format!(
                 "not a fleet checkpoint (want '{CHECKPOINT_HEADER}')"
             ));
         }
+        let mut seen: Vec<&str> = Vec::new();
+        let (mut next_chunk, mut devices_done) = (0usize, 0u64);
         let mut cohort_rows: Vec<(String, [u64; 15])> = Vec::new();
+        let mut ended = false;
         for line in lines {
             let mut words = line.split_whitespace();
             let Some(key) = words.next() else { continue };
+            if ended {
+                return Err(format!("checkpoint continues after 'end': '{line}'"));
+            }
+            if KEYS.contains(&key) {
+                if seen.contains(&key) {
+                    return Err(format!("checkpoint repeats field '{key}'"));
+                }
+                seen.push(key);
+            }
             let rest: Vec<&str> = words.collect();
             let one = || -> Result<&str, String> {
                 match rest.as_slice() {
@@ -487,12 +490,12 @@ impl FleetDriver {
                     }
                 }
                 "next_chunk" => {
-                    self.next_chunk = one()?
+                    next_chunk = one()?
                         .parse()
                         .map_err(|_| "unreadable next_chunk".to_owned())?;
                 }
                 "devices_done" => {
-                    self.devices_done = one()?
+                    devices_done = one()?
                         .parse()
                         .map_err(|_| "unreadable devices_done".to_owned())?;
                 }
@@ -514,15 +517,27 @@ impl FleetDriver {
                     }
                     cohort_rows.push(((*name).to_owned(), parsed));
                 }
-                "end" => break,
+                "end" if rest.is_empty() => ended = true,
                 _ => return Err(format!("unexpected checkpoint line: '{line}'")),
             }
         }
-        if self.next_chunk > self.chunks.len() {
+        if !ended {
+            return Err("checkpoint is truncated: no 'end' line".to_owned());
+        }
+        if let Some(missing) = KEYS.iter().find(|k| !seen.contains(k)) {
+            return Err(format!("checkpoint lacks field '{missing}'"));
+        }
+        let Some(settled) = self.chunks.get(..next_chunk) else {
             return Err(format!(
-                "checkpoint cursor {} beyond {} chunks",
-                self.next_chunk,
+                "checkpoint cursor {next_chunk} beyond {} chunks",
                 self.chunks.len()
+            ));
+        };
+        let settled: u64 = settled.iter().map(|c| c.end - c.start).sum();
+        if devices_done != settled {
+            return Err(format!(
+                "checkpoint claims {devices_done} devices done, but its first \
+                 {next_chunk} chunks hold {settled}"
             ));
         }
         if cohort_rows.len() != self.spec.cohorts.len() {
@@ -532,16 +547,19 @@ impl FleetDriver {
                 self.spec.cohorts.len()
             ));
         }
-        for ((name, values), (cohort, slot)) in cohort_rows
+        if let Some(((name, _), cohort)) = cohort_rows
             .iter()
-            .zip(self.spec.cohorts.iter().zip(&mut self.telemetry))
+            .zip(&self.spec.cohorts)
+            .find(|((name, _), cohort)| *name != cohort.name)
         {
-            if *name != cohort.name {
-                return Err(format!(
-                    "checkpoint cohort '{name}' does not match spec cohort '{}'",
-                    cohort.name
-                ));
-            }
+            return Err(format!(
+                "checkpoint cohort '{name}' does not match spec cohort '{}'",
+                cohort.name
+            ));
+        }
+        self.next_chunk = next_chunk;
+        self.devices_done = devices_done;
+        for (slot, (_, values)) in self.telemetry.iter_mut().zip(&cohort_rows) {
             *slot = CohortTelemetry::from_values(values);
         }
         if let Some(written) = self.devices_done.checked_div(self.options.checkpoint_every) {
@@ -699,6 +717,55 @@ mod tests {
             .unwrap()
             .load_checkpoint("not a checkpoint")
             .is_err());
+    }
+
+    #[test]
+    fn incomplete_or_inconsistent_checkpoints_are_refused() {
+        // A real mid-run checkpoint: halt after the first wave.
+        let path = std::env::temp_dir().join(format!(
+            "scm-fleet-driver-truncation-{}.ckpt",
+            std::process::id()
+        ));
+        let mut o = opts(1);
+        o.checkpoint_every = 8;
+        o.checkpoint = Some(path.clone());
+        o.halt_after = Some(8);
+        let progress = FleetDriver::new(small(), o.clone()).unwrap().run().unwrap();
+        assert!(matches!(progress, FleetProgress::Halted { .. }));
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(lines.len() > 8, "{text}");
+        let load = |body: String| {
+            FleetDriver::new(small(), o.clone())
+                .unwrap()
+                .load_checkpoint(&body)
+        };
+        load(text.clone()).expect("the intact checkpoint loads");
+        for skip in 0..lines.len() {
+            let body: String = lines
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| i != skip)
+                .map(|(_, l)| format!("{l}\n"))
+                .collect();
+            assert!(
+                load(body).is_err(),
+                "accepted without line {skip}: {}",
+                lines[skip]
+            );
+        }
+        for keep in 0..lines.len() {
+            let body: String = lines[..keep].iter().map(|l| format!("{l}\n")).collect();
+            assert!(load(body).is_err(), "accepted truncation to {keep} lines");
+        }
+        // A repeated key, a cursor that disagrees with the device count,
+        // and anything after the end marker are refused too.
+        let repeated = text.replacen("next_chunk", "next_chunk 0\nnext_chunk", 1);
+        assert!(load(repeated).unwrap_err().contains("repeats"));
+        let skewed = text.replacen("devices_done 8", "devices_done 9", 1);
+        assert!(load(skewed).unwrap_err().contains("devices done"));
+        assert!(load(format!("{text}cohort extra\n")).is_err());
     }
 
     #[test]

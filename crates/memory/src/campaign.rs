@@ -17,6 +17,8 @@ use crate::decoder_unit::{multilevel_blocks, DecoderFault};
 use crate::design::RamConfig;
 use crate::engine::CampaignEngine;
 use crate::fault::{FaultProcess, FaultScenario, FaultSite};
+use crate::grid::Merge;
+use crate::sim::TrialScore;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -71,6 +73,37 @@ pub struct FaultResult {
 }
 
 impl FaultResult {
+    /// An empty tally for `scenario`, ready to [`record`](Self::record)
+    /// trials.
+    pub(crate) fn new(scenario: FaultScenario) -> Self {
+        FaultResult {
+            site: scenario.site,
+            process: scenario.process,
+            trials: 0,
+            undetected: 0,
+            error_escapes: 0,
+            detection_cycle_sum: 0,
+            onset_latency_sum: 0,
+            detected: 0,
+        }
+    }
+
+    /// Count one scored trial.
+    pub(crate) fn record(&mut self, score: &TrialScore) {
+        self.trials += 1;
+        match score.detection {
+            Some(d) => {
+                self.detected += 1;
+                self.detection_cycle_sum += d.cycle;
+                self.onset_latency_sum += d.latency();
+            }
+            None => self.undetected += 1,
+        }
+        if score.escaped {
+            self.error_escapes += 1;
+        }
+    }
+
     /// The full scenario this row campaigned.
     pub fn scenario(&self) -> FaultScenario {
         FaultScenario {
@@ -92,6 +125,17 @@ impl FaultResult {
     /// Mean detection latency from true onset over detected trials.
     pub fn mean_onset_latency(&self) -> Option<f64> {
         (self.detected > 0).then(|| self.onset_latency_sum as f64 / self.detected as f64)
+    }
+}
+
+impl Merge for FaultResult {
+    fn merge(&mut self, other: Self) {
+        self.trials += other.trials;
+        self.undetected += other.undetected;
+        self.error_escapes += other.error_escapes;
+        self.detection_cycle_sum += other.detection_cycle_sum;
+        self.onset_latency_sum += other.onset_latency_sum;
+        self.detected += other.detected;
     }
 }
 

@@ -1,11 +1,13 @@
 //! The parallel fault-injection campaign engine.
 //!
 //! One engine runs the whole fault × trial grid of a Monte-Carlo campaign
-//! through a [`FaultSimBackend`], spreading the grid over a rayon thread
-//! pool with dynamic work stealing. Determinism is a hard contract:
+//! through a [`FaultSimBackend`] on the shared [`grid`] runner.
+//! Determinism is a hard contract:
 //!
-//! * every trial's workload RNG is seeded purely from
-//!   `(campaign seed, fault index, trial index)`,
+//! * every trial's workload stream is a pure function of the campaign
+//!   seed and its grid coordinates — `(seed, fault, trial)` on the scalar
+//!   path, `(seed, trial)` on the sliced path, where every lane block of
+//!   a trial shares one stream ([`shared_trial_seed`]),
 //! * per-fault statistics are sums of per-trial counters, which commute,
 //!
 //! so the result is **bit-identical at every thread count** — the
@@ -13,37 +15,31 @@
 //! faster. The determinism test in `tests/campaign_engine.rs` enforces
 //! this.
 //!
-//! The grid is decomposed fault-major into trial blocks: when the
-//! fault universe is wide (the common case — thousands of collapsed
-//! stuck-ats), each block is one fault's full trial set; when callers
-//! probe few faults with many trials, trial ranges split so every worker
-//! still gets enough blocks to steal. Blocks are the scheduling unit;
-//! workers pull them off a shared queue, so a fault whose trials detect
-//! in one cycle doesn't leave its thread idle while a slow fault finishes.
+//! Scalar grids decompose fault-major into trial blocks at
+//! [`grid::SCALAR_BLOCKS_PER_WORKER`]: when the fault universe is wide
+//! each block is one fault's full trial set; when callers probe few
+//! faults with many trials, trial ranges split so every worker still gets
+//! enough blocks to steal. Sliced grids decompose lane blocks at
+//! [`grid::SLAB_BLOCKS_PER_WORKER`], since every trial range rebuilds its
+//! slab.
 
 use crate::arena::{OpStreamArena, ReplayOps, ARENA_OP_BUDGET};
 use crate::backend::{BehavioralBackend, FaultSimBackend};
 use crate::campaign::{CampaignConfig, CampaignResult, FaultResult};
 use crate::design::RamConfig;
 use crate::fault::{FaultScenario, FaultSite};
+use crate::grid::{self, Block, DEFAULT_SERIAL_THRESHOLD};
 use crate::sim::measure_detection_on;
 use crate::sliced::{
     measure_detection_sliced, shared_trial_seed, slab_words, SlicedBackend, MAX_SLAB_LANES,
 };
 use crate::workload::{
-    AddressPattern, FixedPattern, Op, ScrubInterleaver, UniformRandom, WorkloadModel, WorkloadSpec,
+    AddressPattern, FixedPattern, Op, OpStream, ScrubInterleaver, UniformRandom, WorkloadModel,
+    WorkloadSpec,
 };
-use rayon::prelude::*;
+use scm_area::RamOrganization;
 use scm_obs::{sort_chronological, Event, EventKind};
 use std::sync::Arc;
-
-/// One schedulable unit: a contiguous trial range of one fault.
-#[derive(Debug, Clone, Copy)]
-struct TrialBlock {
-    fidx: usize,
-    trial_start: u32,
-    trial_end: u32,
-}
 
 /// Parallel campaign runner over any [`FaultSimBackend`].
 #[derive(Debug, Clone)]
@@ -73,12 +69,6 @@ pub struct LaneOccupancy {
     /// The configured lane width (scenarios per block, before rounding).
     pub width: usize,
 }
-
-/// Grids of at most this many `scenario × trial` cells run serially by
-/// default: below it the rayon fan-out (block construction, work-steal
-/// queues, and — with pinned threads — pool construction) costs more
-/// than it buys (`BENCH_system.json` tiny-grid rows).
-pub const DEFAULT_SERIAL_THRESHOLD: u64 = 256;
 
 impl CampaignEngine {
     /// Engine with the given campaign parameters, the paper's uniform
@@ -203,15 +193,6 @@ impl CampaignEngine {
         &self.campaign
     }
 
-    /// Threads the engine will actually use.
-    pub fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            rayon::current_num_threads()
-        } else {
-            self.threads
-        }
-    }
-
     /// Run over the behavioural backend with the campaign convention's
     /// random prefill (the classic `run_campaign` entry point; every
     /// fault pinned from cycle 0).
@@ -244,8 +225,9 @@ impl CampaignEngine {
     /// out of the packed detection masks. Trial streams are materialised
     /// once in the op-stream arena and replayed by reference per block
     /// (grids beyond [`ARENA_OP_BUDGET`] regenerate per block instead —
-    /// bit-identical either way). Trial ranges still split across rayon
-    /// workers exactly like the scalar path, so results are bit-identical
+    /// bit-identical either way). Trial ranges split across workers only
+    /// as far as the worker count demands
+    /// ([`grid::SLAB_BLOCKS_PER_WORKER`]), and results are bit-identical
     /// at any thread count *and* at any lane width (the trial stream seed
     /// depends only on `(campaign seed, trial)`, never on lane geometry).
     ///
@@ -260,165 +242,70 @@ impl CampaignEngine {
         if let Some(bad) = scenarios.iter().find(|s| !SlicedBackend::<1>::supports(s)) {
             panic!("backend 'sliced' cannot inject {bad:?}");
         }
-        let width = self.lane_width.clamp(1, MAX_SLAB_LANES);
-        let chunks: Vec<&[FaultScenario]> = scenarios.chunks(width).collect();
-        let blocks = self.decompose_slabs(chunks.len());
-        let org = config.org();
-        let spec = WorkloadSpec {
-            words: org.words(),
-            word_bits: org.word_bits(),
-            write_fraction: self.campaign.write_fraction,
-        };
-        let streams: Option<Vec<Arc<Vec<Op>>>> = if (self.campaign.trials as u64)
-            .saturating_mul(self.campaign.cycles)
-            <= ARENA_OP_BUDGET
-        {
-            let arena = self.arena.clone().unwrap_or_default();
-            Some(arena.prepare(
-                &self.model,
-                spec,
-                self.campaign.seed,
-                self.scrub_period,
-                self.campaign.trials,
-                self.campaign.cycles,
-            ))
-        } else {
-            None
-        };
-        let run_block = |block: &TrialBlock| -> Vec<FaultResult> {
-            let chunk = chunks[block.fidx];
-            let streams = streams.as_deref();
-            match slab_words(chunk.len()) {
-                1 => self.run_sliced_block::<1>(config, chunk, *block, streams),
-                2 => self.run_sliced_block::<2>(config, chunk, *block, streams),
-                3 => self.run_sliced_block::<3>(config, chunk, *block, streams),
-                4 => self.run_sliced_block::<4>(config, chunk, *block, streams),
-                5 => self.run_sliced_block::<5>(config, chunk, *block, streams),
-                6 => self.run_sliced_block::<6>(config, chunk, *block, streams),
-                7 => self.run_sliced_block::<7>(config, chunk, *block, streams),
-                _ => self.run_sliced_block::<8>(config, chunk, *block, streams),
-            }
-        };
-        let dispatch = || -> Vec<Vec<FaultResult>> { blocks.par_iter().map(run_block).collect() };
-        let partials: Vec<Vec<FaultResult>> = if self.runs_serially(scenarios.len()) {
-            // Tiny grid: the fan-out costs more than it buys. Same
-            // blocks, same order, same merge — bit-identical results.
-            blocks.iter().map(run_block).collect()
-        } else if self.threads == 0 {
-            dispatch()
-        } else {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(self.threads)
-                .build()
-                .expect("thread pool construction is infallible")
-                .install(dispatch)
-        };
-        // Fold trial-split partials of the same chunk back together,
-        // lane by lane, then flatten chunk-major — scenario input order.
-        let mut per_chunk: Vec<Vec<FaultResult>> = Vec::with_capacity(chunks.len());
-        let mut last_fidx = usize::MAX;
-        for (block, partial) in blocks.iter().zip(partials) {
-            if block.fidx == last_fidx {
-                let acc = per_chunk.last_mut().expect("a merge always follows a push");
-                for (a, p) in acc.iter_mut().zip(partial) {
-                    a.trials += p.trials;
-                    a.undetected += p.undetected;
-                    a.error_escapes += p.error_escapes;
-                    a.detection_cycle_sum += p.detection_cycle_sum;
-                    a.onset_latency_sum += p.onset_latency_sum;
-                    a.detected += p.detected;
-                }
-            } else {
-                per_chunk.push(partial);
-                last_fidx = block.fidx;
-            }
-        }
-        let per_fault: Vec<FaultResult> = per_chunk.into_iter().flatten().collect();
-        debug_assert_eq!(per_fault.len(), scenarios.len());
+        let chunks: Vec<&[FaultScenario]> = scenarios.chunks(self.lane_width).collect();
+        let streams: Option<Vec<Arc<Vec<Op>>>> =
+            ((self.campaign.trials as u64).saturating_mul(self.campaign.cycles) <= ARENA_OP_BUDGET)
+                .then(|| {
+                    self.arena.clone().unwrap_or_default().prepare(
+                        &self.model,
+                        self.spec(config.org()),
+                        self.campaign.seed,
+                        self.scrub_period,
+                        self.campaign.trials,
+                        self.campaign.cycles,
+                    )
+                });
+        let per_chunk = grid::run(
+            chunks.len(),
+            self.campaign.trials,
+            grid::SLAB_BLOCKS_PER_WORKER,
+            self.threads,
+            self.runs_serially(scenarios.len()),
+            |block| {
+                let chunk = chunks[block.item];
+                crate::with_slab_words!(chunk.len(), W => {
+                    self.run_sliced_block::<W>(config, chunk, block, streams.as_deref())
+                })
+            },
+        );
         CampaignResult {
-            per_fault,
+            per_fault: per_chunk.into_iter().flatten().collect(),
             config: self.campaign,
         }
     }
 
     /// One trial range of one lane block at slab width `W`: every trial
-    /// steps all packed scenarios at once, then the per-lane outcomes
-    /// are scattered back into one [`FaultResult`] per lane. With
-    /// `streams` the trial ops replay from the arena; without, they
-    /// regenerate from the model (identical sequences either way).
+    /// steps all packed scenarios at once, and each lane's outcome is
+    /// scored into its own [`FaultResult`]. With `streams` the trial ops
+    /// replay from the arena; without, they regenerate from the model
+    /// (identical sequences either way).
     fn run_sliced_block<const W: usize>(
         &self,
         config: &RamConfig,
         chunk: &[FaultScenario],
-        block: TrialBlock,
+        block: &Block,
         streams: Option<&[Arc<Vec<Op>>]>,
     ) -> Vec<FaultResult> {
         let mut backend =
             SlicedBackend::<W>::prefilled(config, chunk, self.campaign.seed ^ 0xF1E1D1);
-        let org = config.org();
-        let trials = block.trial_end - block.trial_start;
-        let mut results: Vec<FaultResult> = chunk
-            .iter()
-            .map(|scenario| FaultResult {
-                site: scenario.site,
-                process: scenario.process,
-                trials,
-                undetected: 0,
-                error_escapes: 0,
-                detection_cycle_sum: 0,
-                onset_latency_sum: 0,
-                detected: 0,
-            })
-            .collect();
-        let spec = WorkloadSpec {
-            words: org.words(),
-            word_bits: org.word_bits(),
-            write_fraction: self.campaign.write_fraction,
-        };
-        for trial in block.trial_start..block.trial_end {
+        let mut results: Vec<FaultResult> = chunk.iter().map(|&s| FaultResult::new(s)).collect();
+        for trial in block.trials() {
             backend.reset();
             let outcomes = match streams {
-                Some(streams) => {
-                    let mut replay = ReplayOps::new(&streams[trial as usize]);
-                    measure_detection_sliced(&mut backend, &mut replay, self.campaign.cycles)
-                }
-                None => {
-                    let workload = self
-                        .model
-                        .stream(spec, shared_trial_seed(self.campaign.seed, trial));
-                    if self.scrub_period > 0 {
-                        let mut scrubbed =
-                            ScrubInterleaver::new(workload, self.scrub_period, org.words());
-                        measure_detection_sliced(&mut backend, &mut scrubbed, self.campaign.cycles)
-                    } else {
-                        let mut workload = workload;
-                        measure_detection_sliced(
-                            &mut backend,
-                            workload.as_mut(),
-                            self.campaign.cycles,
-                        )
-                    }
-                }
+                Some(streams) => measure_detection_sliced(
+                    &mut backend,
+                    &mut ReplayOps::new(&streams[trial as usize]),
+                    self.campaign.cycles,
+                ),
+                None => measure_detection_sliced(
+                    &mut backend,
+                    &mut self
+                        .trial_stream(config.org(), shared_trial_seed(self.campaign.seed, trial)),
+                    self.campaign.cycles,
+                ),
             };
-            for (lane, out) in outcomes.iter().enumerate() {
-                let result = &mut results[lane];
-                match out.first_detection {
-                    Some(d) => {
-                        result.detected += 1;
-                        result.detection_cycle_sum += d;
-                        let onset = chunk[lane]
-                            .process
-                            .corruption_onset()
-                            .map(|a| a.min(out.first_error.unwrap_or(d)))
-                            .unwrap_or_else(|| out.first_error.unwrap_or(d))
-                            .min(d);
-                        result.onset_latency_sum += d - onset;
-                    }
-                    None => result.undetected += 1,
-                }
-                if out.error_escaped() {
-                    result.error_escapes += 1;
-                }
+            for ((result, out), scenario) in results.iter_mut().zip(&outcomes).zip(chunk) {
+                result.record(&out.score(scenario.process));
             }
         }
         results
@@ -453,49 +340,14 @@ impl CampaignEngine {
         if let Some(bad) = scenarios.iter().find(|s| !backend.supports(s)) {
             panic!("backend '{}' cannot inject {bad:?}", backend.name());
         }
-        let blocks = self.decompose(scenarios.len());
-        let dispatch = || -> Vec<FaultResult> {
-            blocks
-                .par_iter()
-                .map(|block| self.run_block(backend.clone(), scenarios[block.fidx], *block))
-                .collect()
-        };
-        let partials: Vec<FaultResult> = if self.runs_serially(scenarios.len()) {
-            // Tiny grid: the fan-out costs more than it buys. Same
-            // blocks, same order, same merge — bit-identical results.
-            blocks
-                .iter()
-                .map(|block| self.run_block(backend.clone(), scenarios[block.fidx], *block))
-                .collect()
-        } else if self.threads == 0 {
-            // Ambient width: no per-call pool, the global default applies.
-            dispatch()
-        } else {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(self.threads)
-                .build()
-                .expect("thread pool construction is infallible")
-                .install(dispatch)
-        };
-        // Blocks are generated fault-major and collected in input order, so
-        // each fault's partials are adjacent; fold them back together.
-        let mut per_fault: Vec<FaultResult> = Vec::with_capacity(scenarios.len());
-        let mut last_fidx = usize::MAX;
-        for (block, partial) in blocks.iter().zip(partials) {
-            if block.fidx == last_fidx {
-                let acc = per_fault.last_mut().expect("a merge always follows a push");
-                acc.trials += partial.trials;
-                acc.undetected += partial.undetected;
-                acc.error_escapes += partial.error_escapes;
-                acc.detection_cycle_sum += partial.detection_cycle_sum;
-                acc.onset_latency_sum += partial.onset_latency_sum;
-                acc.detected += partial.detected;
-            } else {
-                per_fault.push(partial);
-                last_fidx = block.fidx;
-            }
-        }
-        debug_assert_eq!(per_fault.len(), scenarios.len());
+        let per_fault = grid::run(
+            scenarios.len(),
+            self.campaign.trials,
+            grid::SCALAR_BLOCKS_PER_WORKER,
+            self.threads,
+            self.runs_serially(scenarios.len()),
+            |block| self.run_block(backend.clone(), scenarios[block.item], block),
+        );
         CampaignResult {
             per_fault,
             config: self.campaign,
@@ -524,107 +376,67 @@ impl CampaignEngine {
     /// at any thread count, any lane width, and under either engine flag —
     /// and the result path keeps zero overhead when tracing is off.
     pub fn trace_scenarios(&self, config: &RamConfig, scenarios: &[FaultScenario]) -> Vec<Event> {
-        let dispatch = || -> Vec<Vec<Event>> {
-            scenarios
-                .par_iter()
-                .enumerate()
-                .map(|(fidx, scenario)| self.trace_fault(config, fidx, scenario))
-                .collect()
-        };
-        let per_fault: Vec<Vec<Event>> = if self.runs_serially(scenarios.len()) {
-            scenarios
-                .iter()
-                .enumerate()
-                .map(|(fidx, scenario)| self.trace_fault(config, fidx, scenario))
-                .collect()
-        } else if self.threads == 0 {
-            dispatch()
-        } else {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(self.threads)
-                .build()
-                .expect("thread pool construction is infallible")
-                .install(dispatch)
-        };
-        per_fault.into_iter().flatten().collect()
+        // Blocks are fault-major and trial-ordered, so concatenating
+        // their events in block order is the per-fault trial order.
+        let blocks = grid::blocks(
+            scenarios.len(),
+            self.campaign.trials,
+            grid::resolved_threads(self.threads) * grid::SCALAR_BLOCKS_PER_WORKER,
+        );
+        grid::dispatch(
+            &blocks,
+            self.threads,
+            self.runs_serially(scenarios.len()),
+            |block| self.trace_block(config, &scenarios[block.item], block),
+        )
+        .into_iter()
+        .flatten()
+        .collect()
     }
 
-    /// Replay every trial of one fault, emitting its events in
-    /// chronological order. Pure in `(campaign seed, fidx, trial)`.
-    fn trace_fault(&self, config: &RamConfig, fidx: usize, scenario: &FaultScenario) -> Vec<Event> {
-        use crate::fault::FaultProcess;
+    /// Replay one trial range of one fault, emitting its events in
+    /// chronological order per trial. Pure in
+    /// `(campaign seed, fault index, trial)`.
+    fn trace_block(
+        &self,
+        config: &RamConfig,
+        scenario: &FaultScenario,
+        block: &Block,
+    ) -> Vec<Event> {
         let mut backend = BehavioralBackend::prefilled(config, self.campaign.seed ^ 0xF1E1D1);
         let org = config.org();
-        let spec = WorkloadSpec {
-            words: org.words(),
-            word_bits: org.word_bits(),
-            write_fraction: self.campaign.write_fraction,
-        };
-        let fault = fidx as u32;
+        let fault = block.item as u32;
         let mut events = Vec::new();
-        for trial in 0..self.campaign.trials {
+        for trial in block.trials() {
             backend.reset(Some(scenario));
-            let workload = self
-                .model
-                .stream(spec, shared_trial_seed(self.campaign.seed, trial));
-            let out = if self.scrub_period > 0 {
-                let mut scrubbed = ScrubInterleaver::new(workload, self.scrub_period, org.words());
-                measure_detection_on(&mut backend, &mut scrubbed, self.campaign.cycles)
-            } else {
-                let mut workload = workload;
-                measure_detection_on(&mut backend, workload.as_mut(), self.campaign.cycles)
-            };
+            let mut ops = self.trial_stream(org, shared_trial_seed(self.campaign.seed, trial));
+            let out = measure_detection_on(&mut backend, &mut ops, self.campaign.cycles);
             let mut trial_events = Vec::new();
-            // Onset: a transient strike is an SEU event at its flip
-            // cycle; every other process activates at its first active
-            // window (couplings are armed from cycle 0).
-            match scenario.process {
-                FaultProcess::TransientFlip { at } => {
-                    if at < out.cycles_run {
-                        trial_events.push(Event::cell(at, 0, fault, trial, EventKind::SeuStrike));
-                    }
-                }
-                FaultProcess::Permanent { onset } | FaultProcess::Intermittent { onset, .. } => {
-                    if onset < out.cycles_run {
-                        trial_events.push(Event::cell(onset, 0, fault, trial, EventKind::Activate));
-                    }
-                }
-                FaultProcess::Coupling { .. } => {
-                    trial_events.push(Event::cell(0, 0, fault, trial, EventKind::Activate));
-                }
+            let mut emit =
+                |t: u64, kind: EventKind| trial_events.push(Event::cell(t, 0, fault, trial, kind));
+            if let Some((t, kind)) = scenario.process.onset_event(out.cycles_run) {
+                emit(t, kind);
             }
             if self.scrub_period > 0 {
                 let sweep_len = self.scrub_period * org.words();
-                let mut sweep = 1u64;
-                while sweep * sweep_len <= out.cycles_run {
-                    trial_events.push(Event::cell(
-                        sweep * sweep_len - 1,
-                        0,
-                        fault,
-                        trial,
-                        EventKind::ScrubSweep { sweep },
-                    ));
-                    sweep += 1;
+                for sweep in (1..).take_while(|sweep| sweep * sweep_len <= out.cycles_run) {
+                    emit(sweep * sweep_len - 1, EventKind::ScrubSweep { sweep });
                 }
             }
-            if let Some(d) = out.first_detection {
-                let onset = scenario
-                    .process
-                    .corruption_onset()
-                    .map(|a| a.min(out.first_error.unwrap_or(d)))
-                    .unwrap_or_else(|| out.first_error.unwrap_or(d))
-                    .min(d);
-                trial_events.push(Event::cell(
-                    d,
-                    0,
-                    fault,
-                    trial,
-                    EventKind::Detect { latency: d - onset },
-                ));
+            let score = out.score(scenario.process);
+            if let Some(d) = score.detection {
+                emit(
+                    d.cycle,
+                    EventKind::Detect {
+                        latency: d.latency(),
+                    },
+                );
             }
-            if out.error_escaped() {
-                let t = out.first_error.expect("an escape implies an error");
-                trial_events.push(Event::cell(t, 0, fault, trial, EventKind::Escape));
+            if score.escaped {
+                emit(
+                    out.first_error.expect("an escape implies an error"),
+                    EventKind::Escape,
+                );
             }
             sort_chronological(&mut trial_events);
             events.extend(trial_events);
@@ -634,84 +446,27 @@ impl CampaignEngine {
 
     /// Is this grid small enough for the serial fast path?
     fn runs_serially(&self, scenarios: usize) -> bool {
-        self.serial_threshold > 0
-            && scenarios as u64 * self.campaign.trials as u64 <= self.serial_threshold
+        grid::runs_serially(
+            scenarios as u64 * self.campaign.trials as u64,
+            self.serial_threshold,
+        )
     }
 
-    /// Split the grid into schedulable blocks: one per fault when faults
-    /// outnumber workers, trial-splitting otherwise.
-    fn decompose(&self, num_faults: usize) -> Vec<TrialBlock> {
-        let trials = self.campaign.trials;
-        let threads = self.resolved_threads();
-        let target_blocks = threads * 8;
-        let splits_per_fault = if num_faults == 0 || num_faults >= target_blocks {
-            1
-        } else {
-            (target_blocks.div_ceil(num_faults) as u32).clamp(1, trials.max(1))
-        };
-        let block_len = trials.div_ceil(splits_per_fault).max(1);
-        let mut blocks = Vec::with_capacity(num_faults * splits_per_fault as usize);
-        for fidx in 0..num_faults {
-            let mut t0 = 0u32;
-            while t0 < trials {
-                let t1 = (t0 + block_len).min(trials);
-                blocks.push(TrialBlock {
-                    fidx,
-                    trial_start: t0,
-                    trial_end: t1,
-                });
-                t0 = t1;
-            }
-            if trials == 0 {
-                blocks.push(TrialBlock {
-                    fidx,
-                    trial_start: 0,
-                    trial_end: 0,
-                });
-            }
+    /// The workload shape every trial on `org` draws from.
+    fn spec(&self, org: RamOrganization) -> WorkloadSpec {
+        WorkloadSpec {
+            words: org.words(),
+            word_bits: org.word_bits(),
+            write_fraction: self.campaign.write_fraction,
         }
-        blocks
     }
 
-    /// Split slab blocks into schedulable trial ranges. Unlike
-    /// [`decompose`](Self::decompose), which over-decomposes by 8× for
-    /// work stealing, this only splits trials as far as the worker
-    /// count demands: every extra trial range rebuilds the block's
-    /// fault tables (the dominant fixed cost of a wide slab), so a
-    /// serial run gets exactly one backend per block and a parallel
-    /// run pays construction only once per worker. Results are
-    /// invariant either way — trial outcomes never depend on which
-    /// block ran them.
-    fn decompose_slabs(&self, num_chunks: usize) -> Vec<TrialBlock> {
-        let trials = self.campaign.trials;
-        let threads = self.resolved_threads();
-        let splits_per_chunk = if num_chunks == 0 || num_chunks >= threads {
-            1
-        } else {
-            (threads.div_ceil(num_chunks) as u32).clamp(1, trials.max(1))
-        };
-        let block_len = trials.div_ceil(splits_per_chunk).max(1);
-        let mut blocks = Vec::with_capacity(num_chunks * splits_per_chunk as usize);
-        for fidx in 0..num_chunks {
-            let mut t0 = 0u32;
-            while t0 < trials {
-                let t1 = (t0 + block_len).min(trials);
-                blocks.push(TrialBlock {
-                    fidx,
-                    trial_start: t0,
-                    trial_end: t1,
-                });
-                t0 = t1;
-            }
-            if trials == 0 {
-                blocks.push(TrialBlock {
-                    fidx,
-                    trial_start: 0,
-                    trial_end: 0,
-                });
-            }
-        }
-        blocks
+    /// The model's op stream at `seed`, with the background scrubber's
+    /// sweep reads merged in (the wrapper is transparent when scrubbing
+    /// is off).
+    fn trial_stream(&self, org: RamOrganization, seed: u64) -> ScrubInterleaver<OpStream> {
+        let workload = self.model.stream(self.spec(org), seed);
+        ScrubInterleaver::new(workload, self.scrub_period, org.words())
     }
 
     /// Workload seed for one `(fault, trial)` cell — a pure function of
@@ -727,55 +482,15 @@ impl CampaignEngine {
         &self,
         mut backend: B,
         scenario: FaultScenario,
-        block: TrialBlock,
+        block: &Block,
     ) -> FaultResult {
         let org = backend.config().org();
-        let mut result = FaultResult {
-            site: scenario.site,
-            process: scenario.process,
-            trials: block.trial_end - block.trial_start,
-            undetected: 0,
-            error_escapes: 0,
-            detection_cycle_sum: 0,
-            onset_latency_sum: 0,
-            detected: 0,
-        };
-        let spec = WorkloadSpec {
-            words: org.words(),
-            word_bits: org.word_bits(),
-            write_fraction: self.campaign.write_fraction,
-        };
-        for trial in block.trial_start..block.trial_end {
+        let mut result = FaultResult::new(scenario);
+        for trial in block.trials() {
             backend.reset(Some(&scenario));
-            let workload = self.model.stream(spec, self.trial_seed(block.fidx, trial));
-            let out = if self.scrub_period > 0 {
-                let mut scrubbed = ScrubInterleaver::new(workload, self.scrub_period, org.words());
-                measure_detection_on(&mut backend, &mut scrubbed, self.campaign.cycles)
-            } else {
-                let mut workload = workload;
-                measure_detection_on(&mut backend, workload.as_mut(), self.campaign.cycles)
-            };
-            match out.first_detection {
-                Some(d) => {
-                    result.detected += 1;
-                    result.detection_cycle_sum += d;
-                    // Latency from *true* onset: the silent-corruption
-                    // instant when the process has one (a transient
-                    // flip), the first erroneous output otherwise —
-                    // exactly the paper's definition for permanents.
-                    let onset = scenario
-                        .process
-                        .corruption_onset()
-                        .map(|a| a.min(out.first_error.unwrap_or(d)))
-                        .unwrap_or_else(|| out.first_error.unwrap_or(d))
-                        .min(d);
-                    result.onset_latency_sum += d - onset;
-                }
-                None => result.undetected += 1,
-            }
-            if out.error_escaped() {
-                result.error_escapes += 1;
-            }
+            let mut ops = self.trial_stream(org, self.trial_seed(block.item, trial));
+            let out = measure_detection_on(&mut backend, &mut ops, self.campaign.cycles);
+            result.record(&out.score(scenario.process));
         }
         result
     }
@@ -803,40 +518,6 @@ mod tests {
             .into_iter()
             .map(FaultSite::RowDecoder)
             .collect()
-    }
-
-    #[test]
-    fn grid_decomposition_covers_every_cell_once() {
-        for (faults, trials, threads) in [
-            (64usize, 8u32, 4usize),
-            (3, 100, 8),
-            (1, 7, 2),
-            (200, 1, 16),
-        ] {
-            let engine = CampaignEngine::new(CampaignConfig {
-                trials,
-                ..CampaignConfig::default()
-            })
-            .threads(threads);
-            let blocks = engine.decompose(faults);
-            let mut seen = vec![0u32; faults];
-            for b in &blocks {
-                assert!(b.trial_start < b.trial_end, "empty block {b:?}");
-                seen[b.fidx] += b.trial_end - b.trial_start;
-            }
-            assert!(
-                seen.iter().all(|&t| t == trials),
-                "{faults}x{trials}@{threads}: {seen:?}"
-            );
-            // Fault-major ordering: fidx never decreases, trial ranges are
-            // contiguous per fault.
-            for w in blocks.windows(2) {
-                assert!(w[1].fidx >= w[0].fidx);
-                if w[1].fidx == w[0].fidx {
-                    assert_eq!(w[1].trial_start, w[0].trial_end);
-                }
-            }
-        }
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! `Option<FaultSite>` contract.
 
 use crate::decoder_unit::DecoderFault;
+use scm_obs::EventKind;
 use std::fmt;
 
 /// Every place a single stuck-at fault can strike the design.
@@ -242,6 +243,22 @@ impl FaultProcess {
         match *self {
             FaultProcess::TransientFlip { at } => Some(at),
             _ => None,
+        }
+    }
+
+    /// The trace event marking the onset in a trial that simulated
+    /// `cycles_run` cycles, as `(cycle, kind)`: an SEU strike at a
+    /// transient's flip cycle, an activation at every other process's
+    /// first active window (couplings are armed from cycle 0). `None`
+    /// when the onset lies beyond the simulated cycles.
+    pub fn onset_event(&self, cycles_run: u64) -> Option<(u64, EventKind)> {
+        let kind = match self {
+            FaultProcess::TransientFlip { .. } => EventKind::SeuStrike,
+            _ => EventKind::Activate,
+        };
+        match self.onset() {
+            Some(cycle) => (cycle < cycles_run).then_some((cycle, kind)),
+            None => Some((0, kind)),
         }
     }
 }

@@ -8,6 +8,7 @@
 
 use crate::backend::{compare_step, FaultSimBackend};
 use crate::design::SelfCheckingRam;
+use crate::fault::FaultProcess;
 use crate::workload::{Op, OpSource, Workload};
 
 /// Outcome of one measurement run.
@@ -58,6 +59,58 @@ impl DetectionOutcome {
             (Some(e), Some(d)) if d >= e => Some(d - e),
             _ => None,
         }
+    }
+
+    /// Score this trial of a fault driven by `process` — the one place
+    /// the campaign estimator's onset, onset latency and escape verdict
+    /// are defined. Every engine's result path and trace reads from it.
+    ///
+    /// The onset is the silent-corruption instant when the process has
+    /// one ([`FaultProcess::corruption_onset`]: a transient flip strikes
+    /// its cell before any output errs), the first erroneous output
+    /// otherwise (the paper's definition for permanent faults), and never
+    /// later than the detection itself: checkers that speak before any
+    /// error score a latency of 0.
+    pub fn score(&self, process: FaultProcess) -> TrialScore {
+        let detection = self.first_detection.map(|cycle| {
+            let observed = self.first_error.unwrap_or(cycle);
+            let onset = process
+                .corruption_onset()
+                .map_or(observed, |at| at.min(observed))
+                .min(cycle);
+            Detection { cycle, onset }
+        });
+        TrialScore {
+            detection,
+            escaped: self.error_escaped(),
+        }
+    }
+}
+
+/// What one Monte-Carlo trial contributes to a fault's statistics
+/// ([`DetectionOutcome::score`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TrialScore {
+    /// The first indication, when a checker spoke within the horizon.
+    pub detection: Option<Detection>,
+    /// An erroneous output got out strictly before the first indication
+    /// (or with none at all).
+    pub escaped: bool,
+}
+
+/// A detected trial: when the checkers spoke and when the error began.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Detection {
+    /// Cycle of the first indication.
+    pub cycle: u64,
+    /// True error onset, at most [`cycle`](Self::cycle).
+    pub onset: u64,
+}
+
+impl Detection {
+    /// Detection latency from the true onset.
+    pub fn latency(&self) -> u64 {
+        self.cycle - self.onset
     }
 }
 
@@ -277,6 +330,79 @@ mod tests {
         assert!(!out(None, None).detected_within(1_000_000));
         // Saturation: a huge budget with a late error must not overflow.
         assert!(out(Some(u64::MAX - 1), Some(u64::MAX)).detected_within(u64::MAX));
+    }
+
+    #[test]
+    fn score_anchors_latency_at_the_true_onset() {
+        let out = |e: Option<u64>, d: Option<u64>| DetectionOutcome {
+            cycles_run: 100,
+            first_error: e,
+            first_detection: d,
+        };
+        let detected = |cycle, onset| Some(Detection { cycle, onset });
+        for (name, outcome, process, detection, escaped, latency) in [
+            (
+                "transient struck before the first error: latency d - at",
+                out(Some(9), Some(12)),
+                FaultProcess::TransientFlip { at: 4 },
+                detected(12, 4),
+                true,
+                Some(8),
+            ),
+            (
+                "permanent fault: latency d - first error",
+                out(Some(7), Some(10)),
+                FaultProcess::PERMANENT,
+                detected(10, 7),
+                true,
+                Some(3),
+            ),
+            (
+                "permanent with a delayed onset anchors at its first error",
+                out(Some(7), Some(7)),
+                FaultProcess::Permanent { onset: 2 },
+                detected(7, 7),
+                false,
+                Some(0),
+            ),
+            (
+                "detection before any error: latency 0",
+                out(None, Some(5)),
+                FaultProcess::PERMANENT,
+                detected(5, 5),
+                false,
+                Some(0),
+            ),
+            (
+                "transient detected before it strikes: latency 0",
+                out(None, Some(3)),
+                FaultProcess::TransientFlip { at: 6 },
+                detected(3, 3),
+                false,
+                Some(0),
+            ),
+            (
+                "undetected trial with an error: an escape",
+                out(Some(2), None),
+                FaultProcess::PERMANENT,
+                None,
+                true,
+                None,
+            ),
+            (
+                "undetected silent trial: nothing to score",
+                out(None, None),
+                FaultProcess::TransientFlip { at: 1 },
+                None,
+                false,
+                None,
+            ),
+        ] {
+            let score = outcome.score(process);
+            assert_eq!(score.detection, detection, "{name}");
+            assert_eq!(score.escaped, escaped, "{name}");
+            assert_eq!(score.detection.map(|d| d.latency()), latency, "{name}");
+        }
     }
 
     #[test]

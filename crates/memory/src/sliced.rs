@@ -101,6 +101,64 @@ pub fn slab_words(lanes: usize) -> usize {
     lanes.div_ceil(64).clamp(1, MAX_SLAB_WORDS)
 }
 
+/// Evaluate `body` with the const `W` bound to [`slab_words`]`(lanes)`
+/// — the one monomorphisation dispatch from a pack size to a
+/// `SlicedBackend::<W>` instantiation:
+///
+/// ```
+/// use scm_memory::{with_slab_words, LaneSet};
+///
+/// fn capacity<const W: usize>() -> usize {
+///     64 * W
+/// }
+/// assert_eq!(with_slab_words!(100, W => capacity::<W>()), 128);
+/// assert_eq!(with_slab_words!(1, W => LaneSet::<W>::EMPTY.0.len()), 1);
+/// ```
+///
+/// The arms list every width in `1..=`[`MAX_SLAB_WORDS`].
+#[macro_export]
+macro_rules! with_slab_words {
+    ($lanes:expr, $w:ident => $body:expr) => {
+        match $crate::sliced::slab_words($lanes) {
+            1 => {
+                const $w: usize = 1;
+                $body
+            }
+            2 => {
+                const $w: usize = 2;
+                $body
+            }
+            3 => {
+                const $w: usize = 3;
+                $body
+            }
+            4 => {
+                const $w: usize = 4;
+                $body
+            }
+            5 => {
+                const $w: usize = 5;
+                $body
+            }
+            6 => {
+                const $w: usize = 6;
+                $body
+            }
+            7 => {
+                const $w: usize = 7;
+                $body
+            }
+            _ => {
+                const $w: usize = 8;
+                $body
+            }
+        }
+    };
+}
+
+// `with_slab_words!` writes out one arm per slab width.
+const _: () = assert!(MAX_SLAB_WORDS == 8);
+
 /// A set of lanes as a slab of `W` machine words: bit `b` of word `w`
 /// is lane `w·64 + b`. All bitwise operators act lane-wise across the
 /// whole slab.
@@ -1057,18 +1115,24 @@ impl<const W: usize> SlicedBackend<W> {
             &dead,
             |e| e.0,
         );
-        self.live_len.couplings = partition_live(
-            &mut self.couplings,
-            self.live_len.couplings,
-            &dead,
-            |c| c.slot,
-        );
+        self.live_len.couplings =
+            partition_live(&mut self.couplings, self.live_len.couplings, &dead, |c| {
+                c.slot
+            });
         self.live_len.data_reg =
             partition_live(&mut self.data_reg, self.live_len.data_reg, &dead, |e| e.0);
-        for (list, live) in self.row_two.iter_mut().zip(self.live_len.row_two.iter_mut()) {
+        for (list, live) in self
+            .row_two
+            .iter_mut()
+            .zip(self.live_len.row_two.iter_mut())
+        {
             *live = partition_live(list, *live as usize, &dead, |e| e.0) as u32;
         }
-        for (list, live) in self.col_two.iter_mut().zip(self.live_len.col_two.iter_mut()) {
+        for (list, live) in self
+            .col_two
+            .iter_mut()
+            .zip(self.live_len.col_two.iter_mut())
+        {
             *live = partition_live(list, *live as usize, &dead, |e| e.0) as u32;
         }
         let mut live = std::mem::take(&mut self.live);

@@ -230,16 +230,9 @@ fn detect_chunked(
     }
     let mut all = Vec::new();
     for chunk in scenarios.chunks(width) {
-        all.extend(match slab_words(chunk.len()) {
-            1 => run::<1>(cfg, chunk, prefill_seed, stream_seed, cycles),
-            2 => run::<2>(cfg, chunk, prefill_seed, stream_seed, cycles),
-            3 => run::<3>(cfg, chunk, prefill_seed, stream_seed, cycles),
-            4 => run::<4>(cfg, chunk, prefill_seed, stream_seed, cycles),
-            5 => run::<5>(cfg, chunk, prefill_seed, stream_seed, cycles),
-            6 => run::<6>(cfg, chunk, prefill_seed, stream_seed, cycles),
-            7 => run::<7>(cfg, chunk, prefill_seed, stream_seed, cycles),
-            _ => run::<8>(cfg, chunk, prefill_seed, stream_seed, cycles),
-        });
+        all.extend(crate::with_slab_words!(chunk.len(), W => {
+            run::<W>(cfg, chunk, prefill_seed, stream_seed, cycles)
+        }));
     }
     all
 }

@@ -18,6 +18,7 @@
 //! thread count.
 
 use crate::interleave::Interleaver;
+use scm_memory::sim::TrialScore;
 use scm_memory::workload::{Op, OpSource};
 
 /// Background scrub schedule: one scrub read every `period` cycles.
@@ -73,6 +74,15 @@ impl CheckpointSchedule {
         } else {
             cycle - cycle % self.interval
         }
+    }
+
+    /// Aupy-style lost work of one scored trial: the cycles from the last
+    /// checkpoint at or before the error onset through detection, or the
+    /// whole `horizon` when nothing was detected (censored).
+    pub(crate) fn lost_work(&self, score: &TrialScore, horizon: u64) -> u64 {
+        score.detection.map_or(horizon, |d| {
+            d.cycle - self.last_checkpoint_at_or_before(d.onset) + 1
+        })
     }
 }
 

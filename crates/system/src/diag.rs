@@ -39,13 +39,14 @@
 use crate::clock::SystemClock;
 use crate::engine::SystemFault;
 use crate::system::{bank_prefill_seed, seed_mix, MemorySystem, SystemConfig};
-use rayon::prelude::*;
 use scm_diag::dictionary::FaultDictionary;
 use scm_diag::march::{MarchSession, MarchTest};
 use scm_diag::repair::{RepairOutcome, RepairedRam, SpareAllocator, SpareBudget};
 use scm_memory::backend::{BehavioralBackend, FaultSimBackend};
 use scm_memory::campaign::CampaignConfig;
-use scm_memory::fault::FaultSite;
+use scm_memory::fault::{FaultProcess, FaultSite};
+use scm_memory::grid;
+use scm_memory::sim::DetectionOutcome;
 use scm_memory::workload::{Op, UniformRandom, WorkloadModel};
 use scm_obs::{sort_chronological, Event, EventKind, NullSink, TraceSink, VecSink, Verdict};
 use std::sync::Arc;
@@ -376,21 +377,9 @@ impl DiagCampaign {
         self.validate(universe);
         let template = MemorySystem::new(self.system.clone(), self.campaign.seed);
         let dictionaries = self.dictionaries(universe);
-        let dispatch = || -> Vec<DiagFaultResult> {
-            universe
-                .par_iter()
-                .map(|&fault| self.run_fault_with(&template, &dictionaries, fault, &mut NullSink))
-                .collect()
-        };
-        let per_fault = if self.threads == 0 {
-            dispatch()
-        } else {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(self.threads)
-                .build()
-                .expect("thread pool construction is infallible")
-                .install(dispatch)
-        };
+        let per_fault = grid::dispatch(universe, self.threads, false, |&fault| {
+            self.run_fault_with(&template, &dictionaries, fault, &mut NullSink)
+        });
         DiagSystemResult {
             per_fault,
             campaign: self.campaign,
@@ -419,7 +408,7 @@ impl DiagCampaign {
         // (`scm_diag::triage_session`'s repeat-and-compare policy).
         if let Some(bad) = universe
             .iter()
-            .find(|f| f.process != scm_memory::fault::FaultProcess::PERMANENT)
+            .find(|f| f.process != FaultProcess::PERMANENT)
         {
             panic!(
                 "DiagCampaign schedules only permanent faults; got {}",
@@ -462,22 +451,10 @@ impl DiagCampaign {
             }
             events
         };
-        let dispatch = || -> Vec<Vec<Event>> {
-            universe
-                .par_iter()
-                .map(|&fault| trace_fault(fault))
-                .collect()
-        };
-        let per_fault: Vec<Vec<Event>> = if self.threads == 0 {
-            dispatch()
-        } else {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(self.threads)
-                .build()
-                .expect("thread pool construction is infallible")
-                .install(dispatch)
-        };
-        per_fault.into_iter().flatten().collect()
+        grid::dispatch(universe, self.threads, false, |&fault| trace_fault(fault))
+            .into_iter()
+            .flatten()
+            .collect()
     }
 
     fn run_fault_with<K: TraceSink>(
@@ -520,29 +497,29 @@ impl DiagCampaign {
             // The classical injected-at-reset model: active from cycle 0.
             trial_run.emit(0, EventKind::Activate);
             trial_run.run();
-            if let Some(d) = trial_run.detected_at {
-                let onset = trial_run.onset.unwrap_or(d).min(d);
-                trial_run.emit(d, EventKind::Detect { latency: d - onset });
+            // BIST can flag before mission traffic ever delivers an
+            // erroneous output; the scorer then anchors onset (and the
+            // rollback) at the detection itself, never a later error.
+            let score = DetectionOutcome {
+                first_error: trial_run.onset,
+                first_detection: trial_run.detected_at,
+                ..DetectionOutcome::default()
             }
-            if let Some(e) = trial_run.onset {
-                if trial_run.detected_at.is_none_or(|d| e < d) {
-                    trial_run.emit(e, EventKind::Escape);
-                }
+            .score(FaultProcess::PERMANENT);
+            if let Some(d) = score.detection {
+                let latency = d.latency();
+                trial_run.emit(d.cycle, EventKind::Detect { latency });
+                result.detected += 1;
+                result.detection_cycle_sum += d.cycle;
             }
-            let horizon = self.campaign.cycles;
-            match trial_run.detected_at {
-                Some(d) => {
-                    result.detected += 1;
-                    result.detection_cycle_sum += d;
-                    // BIST can flag before mission traffic ever delivers
-                    // an erroneous output; the rollback anchor is then
-                    // the detection itself, never a later onset.
-                    let onset = trial_run.onset.unwrap_or(d).min(d);
-                    let rollback = self.system.checkpoint.last_checkpoint_at_or_before(onset);
-                    result.lost_work_sum += d - rollback + 1;
-                }
-                None => result.lost_work_sum += horizon,
+            if score.escaped {
+                let e = trial_run.onset.expect("an escape implies an error");
+                trial_run.emit(e, EventKind::Escape);
             }
+            result.lost_work_sum += self
+                .system
+                .checkpoint
+                .lost_work(&score, self.campaign.cycles);
             if trial_run.localized {
                 result.localized += 1;
                 result.ambiguity_sum += trial_run.ambiguity as u64;

@@ -11,7 +11,9 @@
 //! Determinism is the campaign engine's contract, extended one axis:
 //!
 //! * every trial's traffic stream is seeded purely from
-//!   `(campaign seed, bank, fault index within the bank, trial)`,
+//!   `(campaign seed, bank, fault index within the bank, trial)` on the
+//!   scalar path, and from `(campaign seed, bank, trial)` on the sliced
+//!   path, where every fault of a bank shares the trial's stream,
 //! * every bank's prefill image is seeded purely from
 //!   `(campaign seed, bank)`,
 //! * per-fault statistics are sums of per-trial counters, which commute,
@@ -29,13 +31,14 @@
 use crate::clock::SystemClock;
 use crate::seu::SeuProcess;
 use crate::system::{bank_prefill_seed, MemorySystem, SystemConfig};
-use rayon::prelude::*;
 use scm_memory::arena::ARENA_OP_BUDGET;
 use scm_memory::backend::{BehavioralBackend, FaultSimBackend};
 use scm_memory::campaign::{decoder_fault_universe, CampaignConfig};
 use scm_memory::fault::{FaultProcess, FaultScenario, FaultSite};
-use scm_memory::sliced::{slab_words, LaneSet, SlicedBackend, MAX_SLAB_LANES};
-use scm_memory::workload::{Op, UniformRandom, WorkloadModel};
+use scm_memory::grid::{self, Block, Merge, DEFAULT_SERIAL_THRESHOLD};
+use scm_memory::sim::{DetectionOutcome, TrialScore};
+use scm_memory::sliced::{LaneSet, SlicedBackend, MAX_SLAB_LANES};
+use scm_memory::workload::{Op, OpStream, UniformRandom, WorkloadModel};
 use scm_obs::{sort_chronological, Event, EventKind};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -108,6 +111,37 @@ pub struct SystemFaultResult {
 }
 
 impl SystemFaultResult {
+    /// An empty tally for `fault`.
+    fn new(fault: SystemFault) -> Self {
+        SystemFaultResult {
+            fault,
+            trials: 0,
+            detected: 0,
+            undetected: 0,
+            error_escapes: 0,
+            detection_cycle_sum: 0,
+            latency_from_error_sum: 0,
+            lost_work_sum: 0,
+        }
+    }
+
+    /// Count one scored trial that lost `lost_work` cycles.
+    fn record(&mut self, score: &TrialScore, lost_work: u64) {
+        self.trials += 1;
+        match score.detection {
+            Some(d) => {
+                self.detected += 1;
+                self.detection_cycle_sum += d.cycle;
+                self.latency_from_error_sum += d.latency();
+            }
+            None => self.undetected += 1,
+        }
+        if score.escaped {
+            self.error_escapes += 1;
+        }
+        self.lost_work_sum += lost_work;
+    }
+
     /// Mean detection latency from error onset, over detected trials
     /// (the paper's per-memory quantity, usually ~0 for decoder faults:
     /// the flag rises the cycle the faulted line is finally addressed).
@@ -125,6 +159,18 @@ impl SystemFaultResult {
     /// Mean lost work over all trials.
     pub fn mean_lost_work(&self) -> f64 {
         self.lost_work_sum as f64 / self.trials.max(1) as f64
+    }
+}
+
+impl Merge for SystemFaultResult {
+    fn merge(&mut self, other: Self) {
+        self.trials += other.trials;
+        self.detected += other.detected;
+        self.undetected += other.undetected;
+        self.error_escapes += other.error_escapes;
+        self.detection_cycle_sum += other.detection_cycle_sum;
+        self.latency_from_error_sum += other.latency_from_error_sum;
+        self.lost_work_sum += other.lost_work_sum;
     }
 }
 
@@ -267,14 +313,6 @@ impl SystemResult {
     }
 }
 
-/// One schedulable unit: a contiguous trial range of one universe entry.
-#[derive(Debug, Clone, Copy)]
-struct TrialBlock {
-    uidx: usize,
-    trial_start: u32,
-    trial_end: u32,
-}
-
 /// One lane block of the sliced system path: up to
 /// [`MAX_SLAB_LANES`] universe entries of the same bank, addressed by
 /// their positions in the input universe.
@@ -283,6 +321,10 @@ struct LaneChunk {
     bank: usize,
     positions: Vec<usize>,
 }
+
+/// The sliced path's projection arena: each `(bank, trial)` traffic
+/// stream's `(global cycle, op)` pairs served by that bank.
+type Projections = HashMap<(usize, u32), Arc<Vec<(u64, Op)>>>;
 
 /// The parallel system campaign runner.
 #[derive(Debug, Clone)]
@@ -295,10 +337,6 @@ pub struct SystemCampaign {
     lane_width: usize,
     serial_threshold: u64,
 }
-
-/// Grids of at most this many `fault × trial` cells run inline on the
-/// calling thread: below it the rayon fan-out costs more than it buys.
-pub const DEFAULT_SERIAL_THRESHOLD: u64 = 256;
 
 impl SystemCampaign {
     /// Campaign over `system` with the given grid parameters
@@ -330,8 +368,9 @@ impl SystemCampaign {
     /// Scenarios packed per sliced pass (clamped to
     /// `1..=`[`MAX_SLAB_LANES`]; default [`MAX_SLAB_LANES`]). Each pass
     /// uses the narrowest slab word count that fits
-    /// ([`slab_words`]), so narrow widths pay for one `u64` per state
-    /// word, not eight. Results are invariant under this knob.
+    /// ([`slab_words`](scm_memory::sliced::slab_words)), so narrow widths
+    /// pay for one `u64` per state word, not eight. Results are invariant
+    /// under this knob.
     pub fn lane_width(mut self, width: usize) -> Self {
         self.lane_width = width.clamp(1, MAX_SLAB_LANES);
         self
@@ -358,8 +397,10 @@ impl SystemCampaign {
     }
 
     fn runs_serially(&self, faults: usize) -> bool {
-        self.serial_threshold > 0
-            && faults as u64 * self.campaign.trials as u64 <= self.serial_threshold
+        grid::runs_serially(
+            faults as u64 * self.campaign.trials as u64,
+            self.serial_threshold,
+        )
     }
 
     /// The system under campaign.
@@ -414,75 +455,31 @@ impl SystemCampaign {
         universe
     }
 
-    /// Threads the campaign will actually use.
-    pub fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            rayon::current_num_threads()
-        } else {
-            self.threads
-        }
-    }
-
     /// Run the `bank × fault × trial` grid.
     ///
     /// # Panics
     /// Panics if a universe entry names a bank outside the system.
     pub fn run(&self, universe: &[SystemFault]) -> SystemResult {
-        if let Some(bad) = universe.iter().find(|f| f.bank >= self.system.num_banks()) {
-            panic!(
-                "fault targets bank {} of a {}-bank system",
-                bad.bank,
-                self.system.num_banks()
-            );
-        }
+        self.validate(universe);
         if self.sliced {
             return self.run_sliced(universe);
         }
         // One prefilled template per bank, shared read-only by every
         // worker; blocks clone only the bank they fault.
         let template = MemorySystem::new(self.system.clone(), self.campaign.seed);
-        let blocks = self.decompose(universe.len());
-        let dispatch = || -> Vec<SystemFaultResult> {
-            blocks
-                .par_iter()
-                .map(|block| self.run_block(&template, universe[block.uidx], *block))
-                .collect()
-        };
-        let partials: Vec<SystemFaultResult> = if self.runs_serially(universe.len()) {
-            // Tiny grid: same blocks, same order, same merge — the
-            // fan-out is skipped, the result is bit-identical.
-            blocks
-                .iter()
-                .map(|block| self.run_block(&template, universe[block.uidx], *block))
-                .collect()
-        } else if self.threads == 0 {
-            dispatch()
-        } else {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(self.threads)
-                .build()
-                .expect("thread pool construction is infallible")
-                .install(dispatch)
-        };
-        // Blocks are universe-major in input order; fold trial splits.
-        let mut per_fault: Vec<SystemFaultResult> = Vec::with_capacity(universe.len());
-        let mut last_uidx = usize::MAX;
-        for (block, partial) in blocks.iter().zip(partials) {
-            if block.uidx == last_uidx {
-                let acc = per_fault.last_mut().expect("a merge always follows a push");
-                acc.trials += partial.trials;
-                acc.detected += partial.detected;
-                acc.undetected += partial.undetected;
-                acc.error_escapes += partial.error_escapes;
-                acc.detection_cycle_sum += partial.detection_cycle_sum;
-                acc.latency_from_error_sum += partial.latency_from_error_sum;
-                acc.lost_work_sum += partial.lost_work_sum;
-            } else {
-                per_fault.push(partial);
-                last_uidx = block.uidx;
-            }
-        }
-        debug_assert_eq!(per_fault.len(), universe.len());
+        let per_fault = grid::run(
+            universe.len(),
+            self.campaign.trials,
+            grid::SCALAR_BLOCKS_PER_WORKER,
+            self.threads,
+            self.runs_serially(universe.len()),
+            |block| self.run_block(&template, universe[block.item], block),
+        );
+        self.result(per_fault)
+    }
+
+    /// The whole-campaign result over `per_fault` (universe order).
+    fn result(&self, per_fault: Vec<SystemFaultResult>) -> SystemResult {
         SystemResult {
             per_fault,
             campaign: self.campaign,
@@ -492,21 +489,31 @@ impl SystemCampaign {
         }
     }
 
+    /// Aupy-style lost work of one scored trial on this system's
+    /// checkpoint schedule, censored at the horizon.
+    fn lost_work(&self, score: &TrialScore) -> u64 {
+        self.system
+            .checkpoint
+            .lost_work(score, self.campaign.cycles)
+    }
+
+    fn validate(&self, universe: &[SystemFault]) {
+        if let Some(bad) = universe.iter().find(|f| f.bank >= self.system.num_banks()) {
+            panic!(
+                "fault targets bank {} of a {}-bank system",
+                bad.bank,
+                self.system.num_banks()
+            );
+        }
+    }
+
     /// Project one `(bank, trial)` shared system event stream onto the
     /// bank: the `(global cycle, op)` pairs the bank actually serves
     /// within the horizon. Pure in `(campaign seed, model, bank,
     /// trial)` — fault-blind by construction, which is what lets every
     /// lane chunk of the bank replay the same projection.
     fn project_bank_traffic(&self, bank: usize, trial: u32) -> Vec<(u64, Op)> {
-        let spec = self.system.workload_spec(self.campaign.write_fraction);
-        let traffic = self.model.stream(
-            spec,
-            crate::system::seed_mix(
-                self.campaign.seed ^ SLICED_TRAFFIC_TAG,
-                &[bank as u64, trial as u64],
-            ),
-        );
-        let mut clock = SystemClock::new(self.system.interleaver(), self.system.scrub, traffic);
+        let mut clock = self.clock(self.shared_traffic_seed(bank, trial));
         let mut events = Vec::new();
         for cycle in 0..self.campaign.cycles {
             let (target, op) = clock.next_event().target();
@@ -538,13 +545,12 @@ impl SystemCampaign {
         {
             panic!("backend 'sliced' cannot inject {:?}", bad.scenario());
         }
-        let width = self.lane_width.clamp(1, MAX_SLAB_LANES);
         let mut chunks: Vec<LaneChunk> = Vec::new();
         for bank in 0..self.system.num_banks() {
             let positions: Vec<usize> = (0..universe.len())
                 .filter(|&i| universe[i].bank == bank)
                 .collect();
-            for chunk in positions.chunks(width) {
+            for chunk in positions.chunks(self.lane_width) {
                 chunks.push(LaneChunk {
                     bank,
                     positions: chunk.to_vec(),
@@ -559,89 +565,40 @@ impl SystemCampaign {
         let walk_cells = (banks_used.len() as u64)
             .saturating_mul(self.campaign.trials as u64)
             .saturating_mul(self.campaign.cycles);
-        let projections: Option<HashMap<(usize, u32), Arc<Vec<(u64, Op)>>>> =
-            (walk_cells <= ARENA_OP_BUDGET).then(|| {
-                let mut map = HashMap::new();
-                for &bank in &banks_used {
-                    for trial in 0..self.campaign.trials {
-                        map.insert(
-                            (bank, trial),
-                            Arc::new(self.project_bank_traffic(bank, trial)),
-                        );
-                    }
+        let projections: Option<Projections> = (walk_cells <= ARENA_OP_BUDGET).then(|| {
+            let mut map = HashMap::new();
+            for &bank in &banks_used {
+                for trial in 0..self.campaign.trials {
+                    map.insert(
+                        (bank, trial),
+                        Arc::new(self.project_bank_traffic(bank, trial)),
+                    );
                 }
-                map
-            });
-        let run_block = |chunk: &LaneChunk, block: TrialBlock| -> Vec<SystemFaultResult> {
-            let proj = projections.as_ref();
-            match slab_words(chunk.positions.len()) {
-                1 => self.run_sliced_block::<1>(chunk, universe, block, proj),
-                2 => self.run_sliced_block::<2>(chunk, universe, block, proj),
-                3 => self.run_sliced_block::<3>(chunk, universe, block, proj),
-                4 => self.run_sliced_block::<4>(chunk, universe, block, proj),
-                5 => self.run_sliced_block::<5>(chunk, universe, block, proj),
-                6 => self.run_sliced_block::<6>(chunk, universe, block, proj),
-                7 => self.run_sliced_block::<7>(chunk, universe, block, proj),
-                8 => self.run_sliced_block::<8>(chunk, universe, block, proj),
-                w => unreachable!("slab_words returned {w}"),
             }
-        };
-        let blocks = self.decompose(chunks.len());
-        let dispatch = || -> Vec<Vec<SystemFaultResult>> {
-            blocks
-                .par_iter()
-                .map(|block| run_block(&chunks[block.uidx], *block))
-                .collect()
-        };
-        let partials: Vec<Vec<SystemFaultResult>> = if self.runs_serially(universe.len()) {
-            // Tiny grid: same chunks, same order, same scatter.
-            blocks
-                .iter()
-                .map(|block| run_block(&chunks[block.uidx], *block))
-                .collect()
-        } else if self.threads == 0 {
-            dispatch()
-        } else {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(self.threads)
-                .build()
-                .expect("thread pool construction is infallible")
-                .install(dispatch)
-        };
-        // Scatter lane results back onto universe positions; the per-trial
-        // counters commute, so trial splits of one chunk just sum.
-        let mut per_fault: Vec<SystemFaultResult> = universe
+            map
+        });
+        let per_chunk = grid::run(
+            chunks.len(),
+            self.campaign.trials,
+            grid::SLAB_BLOCKS_PER_WORKER,
+            self.threads,
+            self.runs_serially(universe.len()),
+            |block| {
+                let chunk = &chunks[block.item];
+                scm_memory::with_slab_words!(chunk.positions.len(), W => {
+                    self.run_sliced_block::<W>(chunk, universe, block, projections.as_ref())
+                })
+            },
+        );
+        // Chunks are bank-major: put every lane back at its universe
+        // position.
+        let mut placed: Vec<(usize, SystemFaultResult)> = chunks
             .iter()
-            .map(|&fault| SystemFaultResult {
-                fault,
-                trials: 0,
-                detected: 0,
-                undetected: 0,
-                error_escapes: 0,
-                detection_cycle_sum: 0,
-                latency_from_error_sum: 0,
-                lost_work_sum: 0,
-            })
+            .flat_map(|chunk| chunk.positions.iter().copied())
+            .zip(per_chunk.into_iter().flatten())
             .collect();
-        for (block, partial) in blocks.iter().zip(partials) {
-            for (&pos, lane) in chunks[block.uidx].positions.iter().zip(partial) {
-                let acc = &mut per_fault[pos];
-                acc.trials += lane.trials;
-                acc.detected += lane.detected;
-                acc.undetected += lane.undetected;
-                acc.error_escapes += lane.error_escapes;
-                acc.detection_cycle_sum += lane.detection_cycle_sum;
-                acc.latency_from_error_sum += lane.latency_from_error_sum;
-                acc.lost_work_sum += lane.lost_work_sum;
-            }
-        }
-        SystemResult {
-            per_fault,
-            campaign: self.campaign,
-            num_banks: self.system.num_banks(),
-            scrub_slots: self.system.scrub.slots_within(self.campaign.cycles),
-            scrub_overhead: self.system.scrub.bandwidth_overhead(),
-        }
+        placed.sort_unstable_by_key(|&(position, _)| position);
+        self.result(placed.into_iter().map(|(_, r)| r).collect())
     }
 
     /// One trial range of one lane chunk: all packed faults of one bank
@@ -656,8 +613,8 @@ impl SystemCampaign {
         &self,
         chunk: &LaneChunk,
         universe: &[SystemFault],
-        block: TrialBlock,
-        projections: Option<&HashMap<(usize, u32), Arc<Vec<(u64, Op)>>>>,
+        block: &Block,
+        projections: Option<&Projections>,
     ) -> Vec<SystemFaultResult> {
         let scenarios: Vec<FaultScenario> = chunk
             .positions
@@ -671,27 +628,14 @@ impl SystemCampaign {
             bank_prefill_seed(self.campaign.seed, chunk.bank),
         );
         let all = backend.lane_mask();
-        let lanes = scenarios.len();
-        let spec = self.system.workload_spec(self.campaign.write_fraction);
-        let trials = block.trial_end - block.trial_start;
         let mut results: Vec<SystemFaultResult> = chunk
             .positions
             .iter()
-            .map(|&p| SystemFaultResult {
-                fault: universe[p],
-                trials,
-                detected: 0,
-                undetected: 0,
-                error_escapes: 0,
-                detection_cycle_sum: 0,
-                latency_from_error_sum: 0,
-                lost_work_sum: 0,
-            })
+            .map(|&p| SystemFaultResult::new(universe[p]))
             .collect();
-        let mut err_cycle = vec![0u64; lanes];
-        let mut det_cycle = vec![0u64; lanes];
-        for trial in block.trial_start..block.trial_end {
+        for trial in block.trials() {
             backend.reset();
+            let mut outcomes = vec![DetectionOutcome::default(); scenarios.len()];
             let mut seen_err = LaneSet::<W>::EMPTY;
             let mut seen_det = LaneSet::<W>::EMPTY;
             // Mirror the scalar trial loop per lane: errors latch
@@ -699,83 +643,43 @@ impl SystemCampaign {
             // trial is over — later cycles no longer touch it (the
             // caller retires freshly detected lanes so their fault
             // machinery stops costing per-op work).
-            let mut latch = |cycle: u64,
-                             obs: &scm_memory::sliced::SlicedObservation<W>,
-                             seen_err: &mut LaneSet<W>,
-                             seen_det: &mut LaneSet<W>|
-             -> LaneSet<W> {
-                let pending = !*seen_det;
-                let new_err = obs.erroneous & pending & !*seen_err & all;
-                new_err.for_each_lane(|lane| err_cycle[lane] = cycle);
-                *seen_err |= new_err;
+            let mut latch = |cycle: u64, obs: &scm_memory::sliced::SlicedObservation<W>| {
+                let pending = !seen_det;
+                let new_err = obs.erroneous & pending & !seen_err & all;
+                new_err.for_each_lane(|lane| outcomes[lane].first_error = Some(cycle));
+                seen_err |= new_err;
                 let new_det = obs.detected() & pending & all;
-                new_det.for_each_lane(|lane| det_cycle[lane] = cycle);
-                *seen_det |= new_det;
-                new_det
+                new_det.for_each_lane(|lane| outcomes[lane].first_detection = Some(cycle));
+                seen_det |= new_det;
+                (new_det, seen_det == all)
             };
             if let Some(events) = projections.map(|p| &p[&(chunk.bank, trial)]) {
                 for &(cycle, op) in events.iter() {
                     backend.advance(cycle - backend.cycle());
-                    let obs = backend.step(op);
-                    let new_det = latch(cycle, &obs, &mut seen_err, &mut seen_det);
-                    if seen_det == all {
+                    let (new_det, done) = latch(cycle, &backend.step(op));
+                    if done {
                         break;
                     }
                     backend.retire(new_det);
                 }
             } else {
-                let traffic = self.model.stream(
-                    spec,
-                    crate::system::seed_mix(
-                        self.campaign.seed ^ SLICED_TRAFFIC_TAG,
-                        &[chunk.bank as u64, trial as u64],
-                    ),
-                );
-                let mut clock =
-                    SystemClock::new(self.system.interleaver(), self.system.scrub, traffic);
+                let mut clock = self.clock(self.shared_traffic_seed(chunk.bank, trial));
                 for cycle in 0..self.campaign.cycles {
                     let (bank, op) = clock.next_event().target();
                     if bank != chunk.bank {
                         backend.advance(1);
                         continue;
                     }
-                    let obs = backend.step(op);
-                    let new_det = latch(cycle, &obs, &mut seen_err, &mut seen_det);
-                    if seen_det == all {
+                    let (new_det, done) = latch(cycle, &backend.step(op));
+                    if done {
                         break;
                     }
                     backend.retire(new_det);
                 }
             }
-            for (lane, result) in results.iter_mut().enumerate() {
-                if seen_det.test(lane) {
-                    let d = det_cycle[lane];
-                    result.detected += 1;
-                    result.detection_cycle_sum += d;
-                    let observed = if seen_err.test(lane) {
-                        err_cycle[lane]
-                    } else {
-                        d
-                    };
-                    let onset = scenarios[lane]
-                        .process
-                        .corruption_onset()
-                        .map(|a| a.min(observed))
-                        .unwrap_or(observed)
-                        .min(d);
-                    result.latency_from_error_sum += d - onset;
-                    let rollback = self.system.checkpoint.last_checkpoint_at_or_before(onset);
-                    result.lost_work_sum += d - rollback + 1;
-                    if seen_err.test(lane) && err_cycle[lane] < d {
-                        result.error_escapes += 1;
-                    }
-                } else {
-                    result.undetected += 1;
-                    result.lost_work_sum += self.campaign.cycles;
-                    if seen_err.test(lane) {
-                        result.error_escapes += 1;
-                    }
-                }
+            for ((result, out), scenario) in results.iter_mut().zip(&outcomes).zip(&scenarios) {
+                let score = out.score(scenario.process);
+                result.record(&score, self.lost_work(&score));
             }
         }
         results
@@ -802,187 +706,78 @@ impl SystemCampaign {
     /// # Panics
     /// Panics if a universe entry names a bank outside the system.
     pub fn trace(&self, universe: &[SystemFault]) -> Vec<Event> {
-        if let Some(bad) = universe.iter().find(|f| f.bank >= self.system.num_banks()) {
-            panic!(
-                "fault targets bank {} of a {}-bank system",
-                bad.bank,
-                self.system.num_banks()
-            );
-        }
+        self.validate(universe);
         let template = MemorySystem::new(self.system.clone(), self.campaign.seed);
-        let dispatch = || -> Vec<Vec<Event>> {
-            universe
-                .par_iter()
-                .map(|fault| self.trace_fault(&template, *fault))
-                .collect()
-        };
-        let per_fault: Vec<Vec<Event>> = if self.runs_serially(universe.len()) {
-            universe
-                .iter()
-                .map(|fault| self.trace_fault(&template, *fault))
-                .collect()
-        } else if self.threads == 0 {
-            dispatch()
-        } else {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(self.threads)
-                .build()
-                .expect("thread pool construction is infallible")
-                .install(dispatch)
-        };
-        per_fault.into_iter().flatten().collect()
+        // Blocks are universe-major and trial-ordered, so concatenating
+        // their events in block order is the per-fault trial order.
+        let blocks = grid::blocks(
+            universe.len(),
+            self.campaign.trials,
+            grid::resolved_threads(self.threads) * grid::SCALAR_BLOCKS_PER_WORKER,
+        );
+        grid::dispatch(
+            &blocks,
+            self.threads,
+            self.runs_serially(universe.len()),
+            |block| self.trace_block(&template, universe[block.item], block),
+        )
+        .into_iter()
+        .flatten()
+        .collect()
     }
 
-    /// Replay every trial of one universe entry, emitting chronological
-    /// events. Pure in `(campaign seed, bank, fault index, trial)`.
-    fn trace_fault(&self, template: &MemorySystem, fault: SystemFault) -> Vec<Event> {
-        let spec = self.system.workload_spec(self.campaign.write_fraction);
+    /// Replay one trial range of one universe entry, emitting
+    /// chronological events per trial. Pure in
+    /// `(campaign seed, bank, fault index, trial)`.
+    fn trace_block(
+        &self,
+        template: &MemorySystem,
+        fault: SystemFault,
+        block: &Block,
+    ) -> Vec<Event> {
         let scenario = fault.scenario();
         let mut backend: BehavioralBackend = template.banks()[fault.bank].clone();
         let (bank, findex) = (fault.bank as u32, fault.index as u32);
         let mut events = Vec::new();
-        for trial in 0..self.campaign.trials {
-            backend.reset(Some(&scenario));
-            let traffic = self.model.stream(
-                spec,
-                crate::system::seed_mix(
-                    self.campaign.seed ^ SLICED_TRAFFIC_TAG,
-                    &[fault.bank as u64, trial as u64],
-                ),
-            );
-            let mut clock = SystemClock::new(self.system.interleaver(), self.system.scrub, traffic);
-            let mut first_error: Option<u64> = None;
-            let mut first_detection: Option<u64> = None;
-            for cycle in 0..self.campaign.cycles {
-                let (target, op) = clock.next_event().target();
-                if target != fault.bank {
-                    backend.advance(1);
-                    continue;
-                }
-                let obs = backend.step(op);
-                if obs.erroneous.unwrap_or(false) && first_error.is_none() {
-                    first_error = Some(cycle);
-                }
-                if obs.detected() {
-                    first_detection = Some(cycle);
-                    break;
-                }
-            }
+        for trial in block.trials() {
+            let seed = self.shared_traffic_seed(fault.bank, trial);
+            let out = self.measure(&mut backend, fault, seed);
             // The trial's simulated extent: detection latches the clock.
-            let end = first_detection.map_or(self.campaign.cycles, |d| d + 1);
+            let end = out.cycles_run;
             let mut trial_events = Vec::new();
-            match scenario.process {
-                FaultProcess::TransientFlip { at } => {
-                    if at < end {
-                        trial_events.push(Event::cell(
-                            at,
-                            bank,
-                            findex,
-                            trial,
-                            EventKind::SeuStrike,
-                        ));
-                    }
-                }
-                FaultProcess::Permanent { onset } | FaultProcess::Intermittent { onset, .. } => {
-                    if onset < end {
-                        trial_events.push(Event::cell(
-                            onset,
-                            bank,
-                            findex,
-                            trial,
-                            EventKind::Activate,
-                        ));
-                    }
-                }
-                FaultProcess::Coupling { .. } => {
-                    trial_events.push(Event::cell(0, bank, findex, trial, EventKind::Activate));
-                }
+            let mut emit = |t: u64, kind: EventKind| {
+                trial_events.push(Event::cell(t, bank, findex, trial, kind))
+            };
+            if let Some((t, kind)) = scenario.process.onset_event(end) {
+                emit(t, kind);
             }
             let interval = self.system.checkpoint.interval;
             if interval > 0 {
-                let mut k = 1u64;
-                while k * interval < end {
-                    trial_events.push(Event::cell(
-                        k * interval,
-                        bank,
-                        findex,
-                        trial,
-                        EventKind::CheckpointWrite { index: k },
-                    ));
-                    k += 1;
+                for k in (1..).take_while(|k| k * interval < end) {
+                    emit(k * interval, EventKind::CheckpointWrite { index: k });
                 }
             }
-            if let Some(d) = first_detection {
-                let observed = first_error.unwrap_or(d);
-                let onset = scenario
-                    .process
-                    .corruption_onset()
-                    .map(|a| a.min(observed))
-                    .unwrap_or(observed)
-                    .min(d);
-                trial_events.push(Event::cell(
-                    d,
-                    bank,
-                    findex,
-                    trial,
-                    EventKind::Detect { latency: d - onset },
-                ));
-                let rollback = self.system.checkpoint.last_checkpoint_at_or_before(onset);
-                trial_events.push(Event::cell(
-                    d,
-                    bank,
-                    findex,
-                    trial,
-                    EventKind::CheckpointRestore {
-                        lost: d - rollback + 1,
+            let score = out.score(scenario.process);
+            if let Some(d) = score.detection {
+                emit(
+                    d.cycle,
+                    EventKind::Detect {
+                        latency: d.latency(),
                     },
-                ));
+                );
+                let lost = self.lost_work(&score);
+                emit(d.cycle, EventKind::CheckpointRestore { lost });
             }
-            if let Some(e) = first_error {
-                if first_detection.is_none_or(|d| e < d) {
-                    trial_events.push(Event::cell(e, bank, findex, trial, EventKind::Escape));
-                }
+            if score.escaped {
+                emit(
+                    out.first_error.expect("an escape implies an error"),
+                    EventKind::Escape,
+                );
             }
             sort_chronological(&mut trial_events);
             events.extend(trial_events);
         }
         events
-    }
-
-    /// Universe-major block decomposition (the campaign engine's shape:
-    /// one block per fault when faults outnumber workers, trial splits
-    /// otherwise).
-    fn decompose(&self, num_faults: usize) -> Vec<TrialBlock> {
-        let trials = self.campaign.trials;
-        let threads = self.resolved_threads();
-        let target_blocks = threads * 8;
-        let splits = if num_faults == 0 || num_faults >= target_blocks {
-            1
-        } else {
-            (target_blocks.div_ceil(num_faults) as u32).clamp(1, trials.max(1))
-        };
-        let block_len = trials.div_ceil(splits).max(1);
-        let mut blocks = Vec::with_capacity(num_faults * splits as usize);
-        for uidx in 0..num_faults {
-            let mut t0 = 0u32;
-            while t0 < trials {
-                let t1 = (t0 + block_len).min(trials);
-                blocks.push(TrialBlock {
-                    uidx,
-                    trial_start: t0,
-                    trial_end: t1,
-                });
-                t0 = t1;
-            }
-            if trials == 0 {
-                blocks.push(TrialBlock {
-                    uidx,
-                    trial_start: 0,
-                    trial_end: 0,
-                });
-            }
-        }
-        blocks
     }
 
     /// Traffic seed for one grid cell — pure in
@@ -997,81 +792,76 @@ impl SystemCampaign {
         )
     }
 
+    /// Traffic seed shared by every fault of `bank` in `trial` — the
+    /// sliced engine's stream, which every trace replays. Pure in
+    /// `(campaign seed, bank, trial)`.
+    fn shared_traffic_seed(&self, bank: usize, trial: u32) -> u64 {
+        crate::system::seed_mix(
+            self.campaign.seed ^ SLICED_TRAFFIC_TAG,
+            &[bank as u64, trial as u64],
+        )
+    }
+
+    /// The global system clock over the model's traffic at `seed`.
+    fn clock(&self, seed: u64) -> SystemClock<OpStream> {
+        let spec = self.system.workload_spec(self.campaign.write_fraction);
+        SystemClock::new(
+            self.system.interleaver(),
+            self.system.scrub,
+            self.model.stream(spec, seed),
+        )
+    }
+
+    /// One scalar trial of `fault` on the system clock over traffic
+    /// `seed`: the faulted bank serves its own cycles and idles through
+    /// the others, and the indication latches the trial complete.
+    fn measure(
+        &self,
+        backend: &mut BehavioralBackend,
+        fault: SystemFault,
+        seed: u64,
+    ) -> DetectionOutcome {
+        backend.reset(Some(&fault.scenario()));
+        let mut clock = self.clock(seed);
+        let mut out = DetectionOutcome {
+            cycles_run: self.campaign.cycles,
+            ..DetectionOutcome::default()
+        };
+        for cycle in 0..self.campaign.cycles {
+            let (bank, op) = clock.next_event().target();
+            if bank != fault.bank {
+                // Fault-free banks are exactly silent, but the faulted
+                // bank's temporal process rides the *global* clock: an
+                // SEU strikes whether or not traffic is routed to the
+                // bank that cycle.
+                backend.advance(1);
+                continue;
+            }
+            let obs = backend.step(op);
+            if obs.erroneous.unwrap_or(false) && out.first_error.is_none() {
+                out.first_error = Some(cycle);
+            }
+            if obs.detected() {
+                out.first_detection = Some(cycle);
+                out.cycles_run = cycle + 1;
+                break;
+            }
+        }
+        out
+    }
+
     fn run_block(
         &self,
         template: &MemorySystem,
         fault: SystemFault,
-        block: TrialBlock,
+        block: &Block,
     ) -> SystemFaultResult {
-        let mut result = SystemFaultResult {
-            fault,
-            trials: block.trial_end - block.trial_start,
-            detected: 0,
-            undetected: 0,
-            error_escapes: 0,
-            detection_cycle_sum: 0,
-            latency_from_error_sum: 0,
-            lost_work_sum: 0,
-        };
-        let spec = self.system.workload_spec(self.campaign.write_fraction);
-        let scenario = fault.scenario();
+        let mut result = SystemFaultResult::new(fault);
         let mut backend: BehavioralBackend = template.banks()[fault.bank].clone();
-        for trial in block.trial_start..block.trial_end {
-            backend.reset(Some(&scenario));
-            let traffic = self.model.stream(spec, self.trial_seed(fault, trial));
-            let mut clock = SystemClock::new(self.system.interleaver(), self.system.scrub, traffic);
-            let mut first_error: Option<u64> = None;
-            let mut first_detection: Option<u64> = None;
-            for cycle in 0..self.campaign.cycles {
-                let (bank, op) = clock.next_event().target();
-                if bank != fault.bank {
-                    // Fault-free banks are exactly silent, but the
-                    // faulted bank's temporal process rides the *global*
-                    // clock: an SEU strikes whether or not traffic is
-                    // routed to the bank that cycle.
-                    backend.advance(1);
-                    continue;
-                }
-                let obs = backend.step(op);
-                if obs.erroneous.unwrap_or(false) && first_error.is_none() {
-                    first_error = Some(cycle);
-                }
-                if obs.detected() {
-                    first_detection = Some(cycle);
-                    break; // latched indication: trial complete
-                }
-            }
-            match first_detection {
-                Some(d) => {
-                    result.detected += 1;
-                    result.detection_cycle_sum += d;
-                    // The true onset: the silent-corruption instant when
-                    // the process has one (a transient strikes the cell
-                    // silently at its arrival cycle — the Aupy anchor),
-                    // the first erroneous output otherwise.
-                    let observed = first_error.unwrap_or(d);
-                    let onset = scenario
-                        .process
-                        .corruption_onset()
-                        .map(|a| a.min(observed))
-                        .unwrap_or(observed)
-                        .min(d);
-                    result.latency_from_error_sum += d - onset;
-                    let rollback = self.system.checkpoint.last_checkpoint_at_or_before(onset);
-                    result.lost_work_sum += d - rollback + 1;
-                    if first_error.is_some_and(|e| e < d) {
-                        result.error_escapes += 1;
-                    }
-                }
-                None => {
-                    result.undetected += 1;
-                    // Censored: the whole horizon is charged as lost.
-                    result.lost_work_sum += self.campaign.cycles;
-                    if first_error.is_some() {
-                        result.error_escapes += 1;
-                    }
-                }
-            }
+        for trial in block.trials() {
+            let out = self.measure(&mut backend, fault, self.trial_seed(fault, trial));
+            let score = out.score(fault.process);
+            result.record(&score, self.lost_work(&score));
         }
         result
     }
@@ -1128,18 +918,6 @@ mod tests {
         }
         // Indices are per-bank positions, not list positions.
         assert_eq!(capped.iter().filter(|f| f.index == 0).count(), 3);
-    }
-
-    #[test]
-    fn grid_decomposition_covers_every_cell_once() {
-        let engine = SystemCampaign::new(config(), campaign()).threads(4);
-        let blocks = engine.decompose(5);
-        let mut seen = vec![0u32; 5];
-        for b in &blocks {
-            assert!(b.trial_start < b.trial_end);
-            seen[b.uidx] += b.trial_end - b.trial_start;
-        }
-        assert!(seen.iter().all(|&t| t == campaign().trials), "{seen:?}");
     }
 
     #[test]

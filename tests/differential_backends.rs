@@ -22,7 +22,8 @@ use scm_memory::backend::{BehavioralBackend, CycleObservation, FaultSimBackend, 
 use scm_memory::campaign::decoder_fault_universe;
 use scm_memory::design::RamConfig;
 use scm_memory::fault::{CellRef, CouplingKind, FaultProcess, FaultScenario, FaultSite};
-use scm_memory::sliced::{slab_words, SlicedBackend, SlicedObservation};
+use scm_memory::sliced::{SlicedBackend, SlicedObservation};
+use scm_memory::with_slab_words;
 use scm_memory::workload::{model_by_name, Op, WorkloadSpec, MODEL_NAMES};
 
 /// Constant-weight codes the gate-level checker generator can realise.
@@ -61,16 +62,9 @@ fn sliced_observations(
     }
     let mut lanes = Vec::new();
     for chunk in scenarios.chunks(width) {
-        lanes.extend(match slab_words(chunk.len()) {
-            1 => run_chunk::<1>(config, chunk, seed, ops),
-            2 => run_chunk::<2>(config, chunk, seed, ops),
-            3 => run_chunk::<3>(config, chunk, seed, ops),
-            4 => run_chunk::<4>(config, chunk, seed, ops),
-            5 => run_chunk::<5>(config, chunk, seed, ops),
-            6 => run_chunk::<6>(config, chunk, seed, ops),
-            7 => run_chunk::<7>(config, chunk, seed, ops),
-            _ => run_chunk::<8>(config, chunk, seed, ops),
-        });
+        lanes.extend(with_slab_words!(chunk.len(), W => {
+            run_chunk::<W>(config, chunk, seed, ops)
+        }));
     }
     lanes
 }
